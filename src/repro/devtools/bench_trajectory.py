@@ -3,10 +3,10 @@
 :mod:`repro.devtools.bench_delta` compares exactly two reports — this run
 against the previous one.  This tool keeps the longer view: every CI run
 appends its ``BENCH_report.json`` means (plus each benchmark's ``extra_info``,
-which is how the engine-backend benchmarks record per-backend event counts
-and wall-time ratios) to a rolling trajectory file that is re-uploaded as an
-artifact.  Slow drifts that never trip the pairwise delta threshold are
-visible as a series instead of an anecdote.
+where a benchmark can record counters beyond wall time, such as event counts)
+to a rolling trajectory file that is re-uploaded as an artifact.  Slow drifts
+that never trip the pairwise delta threshold are visible as a series instead
+of an anecdote.
 
 The trajectory is identified by commit, not by wall-clock time: CI passes
 ``--commit $GITHUB_SHA``, so the file stays a pure function of its inputs and
@@ -39,8 +39,7 @@ MAX_RUNS = 200
 def load_extra_info(path: Path) -> Dict[str, Dict[str, Any]]:
     """Map benchmark fullname -> its ``extra_info`` dict from a report file.
 
-    Benchmarks without ``extra_info`` are omitted; the engine-backend
-    benchmarks use it for per-backend ``events_processed`` / ``wall_ratio``.
+    Benchmarks without ``extra_info`` are omitted.
     """
     data = json.loads(path.read_text())
     out: Dict[str, Dict[str, Any]] = {}

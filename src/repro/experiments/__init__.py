@@ -29,7 +29,7 @@ from .internet import (
 from .interdc import PAPER_PAIRS, InterDCPair, run_pair, run_table
 from .incast import run_incast
 from .registry import EXPERIMENTS, Experiment, get_experiment, list_experiments
-from .results import ResultSet, ResultSetWriter, SweepResult, cell_identity_key
+from .results import ResultSet, ResultSetWriter, cell_identity_key
 from .store import CellStore, store_key
 from .executors import (
     DEFAULT_EXECUTOR,
@@ -114,7 +114,6 @@ __all__ = [
     "list_experiments",
     "ResultSet",
     "ResultSetWriter",
-    "SweepResult",
     "cell_identity_key",
     "CellStore",
     "store_key",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..netsim import DEFAULT_BACKEND, create_simulator, incast, incast_burst
+from ..netsim import Simulator, incast, incast_burst
 from ..units import BITS_PER_BYTE, BPS_PER_MBPS
 from .runner import run_flows
 
@@ -29,7 +29,6 @@ def run_incast(
     buffer_bytes: float = 64_000.0,
     max_duration: float = 5.0,
     seed: int = 1,
-    backend: str = DEFAULT_BACKEND,
     **controller_kwargs,
 ) -> dict:
     """Run one incast barrier transfer and report goodput.
@@ -37,7 +36,7 @@ def run_incast(
     Returns a dict with ``goodput_mbps`` (0 if not all flows completed within
     ``max_duration``), the completion time, and the per-flow results.
     """
-    sim = create_simulator(backend, seed=seed)
+    sim = Simulator(seed=seed)
     topo = incast(
         sim, num_senders=num_senders, bandwidth_bps=bandwidth_bps, rtt=rtt,
         buffer_bytes=buffer_bytes,

@@ -59,10 +59,9 @@ from ..schemes import (
 from .execute import PROFILE_TOP_N, execute_cells
 from .executors import DEFAULT_EXECUTOR as DEFAULT_EXECUTOR_NAME
 from .executors import executor_names
-from .results import ResultSet, ResultSetWriter, SweepResult, cell_identity_key
+from .results import ResultSet, ResultSetWriter, cell_identity_key
 from .store import CellStore
 from ..netsim import (
-    DEFAULT_BACKEND,
     DEFAULT_QDISC,
     SYNTHETIC_TRACES,
     Path,
@@ -70,8 +69,6 @@ from ..netsim import (
     Simulator,
     TraceLinkDynamics,
     bdp_bytes,
-    create_simulator,
-    engine_backend_names,
     make_qdisc,
     make_synthetic_trace,
     parking_lot,
@@ -94,7 +91,6 @@ __all__ = [
     "ResultSetWriter",
     "SweepCell",
     "SweepGrid",
-    "SweepResult",
     "cell_identity_key",
     "derive_seed",
     "register_scheme_variant",
@@ -159,9 +155,6 @@ class SweepCell:
     #: Registered utility-function name for this cell's PCC flows (``None``
     #: means the scheme default, i.e. the safe utility).
     utility: Optional[str] = None
-    #: Registered engine backend that simulates this cell (see
-    #: :func:`repro.netsim.register_engine_backend`).
-    backend: str = DEFAULT_BACKEND
     #: Registered queue discipline on the cell's bottleneck link(s) (see
     #: :func:`repro.netsim.register_qdisc`).  Part of the identity when
     #: non-default; access links keep their plain drop-tail queues.
@@ -227,14 +220,8 @@ class SweepCell:
         scheme_kwargs = self.resolved_scheme_kwargs()
         if scheme_kwargs:
             out["scheme_kwargs"] = scheme_kwargs
-        # The backend enters the identity only when non-default, so every
-        # archived packet-backend sweep stays byte-comparable — and a
-        # non-packet run can never be confused with (or resumed into) a
-        # packet-backend archive.
-        if self.backend != DEFAULT_BACKEND:
-            out["backend"] = self.backend
-        # Same rule for the queue discipline and the workload: recorded only
-        # when non-default, fully resolved (defaults merged in) so archived
+        # The queue discipline and the workload are recorded only when
+        # non-default, fully resolved (defaults merged in) so archived
         # cells keep their meaning even if a factory default changes later.
         if self.qdisc != DEFAULT_QDISC or self.qdisc_kwargs:
             out["qdisc"] = self.qdisc
@@ -492,10 +479,6 @@ class SweepGrid:
     topology: str = "single_bottleneck"
     #: JSON-serializable arguments interpreted by the topology builder.
     topology_kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Registered engine backend shared by every cell (see
-    #: :func:`repro.netsim.register_engine_backend`).  Part of the cell
-    #: identity when non-default.
-    backend: str = DEFAULT_BACKEND
     #: Registered queue discipline on every cell's bottleneck link(s) (see
     #: :func:`repro.netsim.register_qdisc`).  Part of the cell identity when
     #: non-default.
@@ -534,14 +517,6 @@ class SweepGrid:
                 f"utilities via the utilities axis so the cell identity "
                 f"records them"
             )
-        if "backend" in self.controller_kwargs:
-            # The engine backend is cell identity (when non-default), not a
-            # controller knob: smuggled through controller_kwargs it would be
-            # simulated but never recorded.
-            raise ValueError(
-                "controller_kwargs cannot set ['backend']; pass it as the "
-                "grid's backend field so the cell identity records it"
-            )
         smuggled = {"qdisc", "workload"} & set(self.controller_kwargs)
         if smuggled:
             # Same rule: queue discipline and workload are cell identity
@@ -554,9 +529,6 @@ class SweepGrid:
         # Fail fast on unknown qdisc/workload names or undeclared kwargs.
         resolve_qdisc_kwargs(self.qdisc, dict(self.qdisc_kwargs))
         resolve_workload_kwargs(self.workload, dict(self.workload_kwargs))
-        # Fail fast on unknown backend names (mirrors the topology check
-        # below: mid-sweep worker failures are far harder to diagnose).
-        create_simulator(self.backend, seed=0)
         # Registry kwarg defaults and variant kwargs are recorded in cell
         # identity JSON; letting grid-level controller_kwargs override either
         # would make the archived identity lie about what was simulated.
@@ -635,7 +607,6 @@ class SweepGrid:
                     topology=self.topology,
                     topology_kwargs=dict(resolved_kwargs),
                     utility=utility,
-                    backend=self.backend,
                     qdisc=self.qdisc,
                     qdisc_kwargs=dict(self.qdisc_kwargs),
                     workload=self.workload,
@@ -659,7 +630,7 @@ def run_cell(cell: SweepCell) -> Dict[str, Any]:
     """
     # repro-lint: disable=RPL001 wall-time telemetry; stripped into ResultSet.timings, never canonical JSON
     start = time.perf_counter()
-    sim = create_simulator(cell.backend, seed=cell.seed)
+    sim = Simulator(seed=cell.seed)
     paths = _TOPOLOGIES.get(cell.topology).builder(sim, cell)
     # The full scheme spec goes to the runner, which resolves any variant
     # against the scheme registry — the identical resolution recorded in the
@@ -677,19 +648,14 @@ def run_cell(cell: SweepCell) -> Dict[str, Any]:
         spec.controller_kwargs = {**scheme_kwargs, **spec.controller_kwargs}
     result = run_flows(sim, paths, specs, duration=cell.duration)
     wall = time.perf_counter() - start  # repro-lint: disable=RPL001 wall-time telemetry
-    engine: Dict[str, Any] = {
-        "events_processed": sim.events_processed,
-        "pending_events": sim.pending_events,
-        "simulated_seconds": cell.duration,
-    }
-    # Like the identity, the engine payload names the backend only when
-    # non-default, keeping archived packet-backend JSON byte-comparable.
-    if cell.backend != DEFAULT_BACKEND:
-        engine["backend"] = cell.backend
     return {
         "cell": cell.params(),
         "flows": result.summary_rows(),
-        "engine": engine,
+        "engine": {
+            "events_processed": sim.events_processed,
+            "pending_events": sim.pending_events,
+            "simulated_seconds": cell.duration,
+        },
         "wall_time_s": wall,
     }
 
@@ -793,10 +759,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--topology", default="single_bottleneck",
                         choices=topology_names(),
                         help="registered topology builder shared by every cell")
-    parser.add_argument("--backend", default=DEFAULT_BACKEND,
-                        choices=engine_backend_names(),
-                        help="engine backend shared by every cell; recorded "
-                             "in each cell's identity when non-default")
     parser.add_argument("--qdisc", default=DEFAULT_QDISC,
                         choices=qdisc_names(),
                         help="registered queue discipline on every cell's "
@@ -927,7 +889,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             stagger=args.stagger,
             topology=args.topology,
             topology_kwargs=topology_kwargs,
-            backend=args.backend,
             qdisc=args.qdisc,
             workload=args.workload,
         )

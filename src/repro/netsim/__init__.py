@@ -8,14 +8,6 @@ EXPERIMENTS.md for the mapping from the paper's testbeds to these components.
 """
 
 from .engine import Event, SimulationError, Simulator
-from .backends import (
-    DEFAULT_BACKEND,
-    FluidConfig,
-    HybridSimulator,
-    create_simulator,
-    engine_backend_names,
-    register_engine_backend,
-)
 from .packet import ACK_SIZE_BYTES, DEFAULT_MSS, Packet
 from .queues import (
     CoDelQueue,
@@ -69,12 +61,6 @@ __all__ = [
     "Event",
     "SimulationError",
     "Simulator",
-    "DEFAULT_BACKEND",
-    "FluidConfig",
-    "HybridSimulator",
-    "create_simulator",
-    "engine_backend_names",
-    "register_engine_backend",
     "ACK_SIZE_BYTES",
     "DEFAULT_MSS",
     "Packet",

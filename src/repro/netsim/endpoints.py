@@ -147,13 +147,6 @@ class SenderBase:
         self._highest_acked_packet_id = -1
         self._rto_event: Optional[Event] = None
         self._rto_deadline = math.inf
-        #: While processing an ACK that carries an analytic (virtual) arrival
-        #: time, ack-clocked transmissions are stamped with that time so the
-        #: hybrid backend preserves packet spacing: batched flushes would
-        #: otherwise compress a window of ACKs into one instant and turn the
-        #: responses into an artificial burst.  ``None`` outside ACK handling
-        #: and always ``None`` under the packet backend.
-        self._ack_clock_time: Optional[float] = None
         self._started = False
         self.completed = False
         #: Called once when a finite flow finishes (all segments acknowledged).
@@ -216,17 +209,8 @@ class SenderBase:
         return None
 
     def _transmit(self, mi_id: Optional[int] = None,
-                  is_probe: bool = False,
-                  at_time: Optional[float] = None) -> Optional[Packet]:
-        """Send one packet (retransmission first, then new data).
-
-        ``at_time`` is the *virtual* send time used by the hybrid backend's
-        batched pacing: the packet is stamped as sent at ``at_time`` (which
-        may be slightly ahead of the event clock) so fluid-mode links serve
-        it at its exact analytic position in the flow's pacing schedule.
-        ``None`` — the default, and the only value used under the packet
-        backend — keeps everything on the event clock.
-        """
+                  is_probe: bool = False) -> Optional[Packet]:
+        """Send one packet (retransmission first, then new data)."""
         if self.completed:
             return None
         if is_probe:
@@ -238,9 +222,7 @@ class SenderBase:
             seq, retransmission = choice
         packet_id = self._next_packet_id
         self._next_packet_id += 1
-        if at_time is None:
-            at_time = self._ack_clock_time
-        send_time = self.sim.now if at_time is None else at_time
+        send_time = self.sim.now
         packet = Packet(
             flow_id=self.flow_id,
             packet_id=packet_id,
@@ -251,8 +233,6 @@ class SenderBase:
             is_retransmission=retransmission,
             is_probe=is_probe,
         )
-        if at_time is not None:
-            packet.virtual_time = at_time
         record = SentPacketRecord(
             packet_id, seq, self.mss, send_time, mi_id, retransmission, is_probe
         )
@@ -276,12 +256,7 @@ class SenderBase:
         if self.completed:
             return
         record = self._outstanding.pop(ack.acked_packet_id, None)
-        # Under the hybrid backend, batched flushes deliver ACKs up to one
-        # batch window after their analytic arrival time.  RTT samples must
-        # use the analytic timestamp: rate controllers with latency-gradient
-        # terms (PCC) would otherwise read the quantization as queue growth.
-        ack_recv_time = ack.virtual_time if ack.virtual_time >= 0.0 else self.sim.now
-        rtt_sample = ack_recv_time - ack.ack_sent_time
+        rtt_sample = self.sim.now - ack.ack_sent_time
         self.rtt.update(rtt_sample)
         newly_acked = False
         if record is not None:
@@ -295,37 +270,18 @@ class SenderBase:
         # highest acknowledged transmission is declared lost.
         lost = self._detect_losses()
         self._restart_rto_timer()
-        # Any transmission triggered while this ACK is being processed (new
-        # data released by the ack clock, fast retransmissions) is stamped
-        # with the ACK's analytic arrival time, so packet spacing survives
-        # the hybrid backend's batched delivery.  Stamping also starts when
-        # every link on the path — forward and reverse — is in fluid mode
-        # (the same whole-path test rate-paced batching uses): that is what
-        # bootstraps batched delivery for ack-clocked senders, and it is
-        # deliberately NOT triggered by exact-time fluid deliveries, whose
-        # packets stay on the event clock so a partially fluid path keeps
-        # packet-exact timing.
-        if ack.virtual_time >= 0.0:
-            self._ack_clock_time = ack_recv_time
-        else:
-            pacing_window = getattr(self.sim, "pacing_window_s", None)
-            if pacing_window is not None and pacing_window(self.path) > 0.0:
-                self._ack_clock_time = ack_recv_time
-        try:
-            self._on_ack(record, rtt_sample, newly_acked)
-            if ack.ecn_echo and record is not None:
-                # The acked packet crossed a congested AQM that marked it
-                # instead of dropping it; surface the congestion signal to
-                # the scheme's response hook.  Delivery accounting already
-                # happened above — an ECN mark is never a loss.
-                self._on_ecn(record)
-            for lost_record in lost:
-                self._on_loss(lost_record)
-            self._check_completion()
-            if not self.completed:
-                self._after_ack_processing()
-        finally:
-            self._ack_clock_time = None
+        self._on_ack(record, rtt_sample, newly_acked)
+        if ack.ecn_echo and record is not None:
+            # The acked packet crossed a congested AQM that marked it
+            # instead of dropping it; surface the congestion signal to
+            # the scheme's response hook.  Delivery accounting already
+            # happened above — an ECN mark is never a loss.
+            self._on_ecn(record)
+        for lost_record in lost:
+            self._on_loss(lost_record)
+        self._check_completion()
+        if not self.completed:
+            self._after_ack_processing()
 
     def _detect_losses(self) -> list[SentPacketRecord]:
         lost: list[SentPacketRecord] = []
@@ -627,14 +583,6 @@ class RateBasedSender(SenderBase):
         if self.completed:
             return
         self._record_rate()
-        pacing_window = getattr(self.sim, "pacing_window_s", None)
-        if pacing_window is not None:
-            window = pacing_window(self.path)
-            if window > 0.0:
-                # Hybrid backend with the whole path in fluid mode: emit a
-                # window's worth of packets in this one event.
-                self._batch_tick(window)
-                return
         if (
             self.has_data_to_send()
             and self.inflight_packets < self.max_inflight_packets
@@ -644,33 +592,6 @@ class RateBasedSender(SenderBase):
                 mi_id = self.controller.current_mi_id(self.sim.now)
             self._transmit(mi_id=mi_id)
         self._schedule_tick()
-
-    def _batch_tick(self, window: float) -> None:
-        """Send the next ``window`` seconds of the pacing schedule at once.
-
-        Each packet is stamped with the virtual send time packet-by-packet
-        pacing would have given it (the inter-packet interval is recomputed
-        every iteration, so a controller rate change mid-window takes effect
-        exactly as it would have across real ticks), and the next tick fires
-        where the virtual schedule left off.
-        """
-        now = self.sim.now
-        horizon = now + window
-        send_at = now
-        while (send_at < horizon and self.has_data_to_send()
-               and self.inflight_packets < self.max_inflight_packets):
-            mi_id = None
-            if hasattr(self.controller, "current_mi_id"):
-                mi_id = self.controller.current_mi_id(send_at)
-            if self._transmit(mi_id=mi_id, at_time=send_at) is None:
-                break
-            if self.completed:
-                return
-            send_at += self.mss * BITS_PER_BYTE / self.current_rate_bps()
-        if self._pacing_timer is None and not self.completed:
-            interval = self.mss * BITS_PER_BYTE / self.current_rate_bps()
-            delay = send_at - now if send_at > now else interval
-            self._pacing_timer = self.sim.schedule(delay, self._tick)
 
     def send_probe_train(self, count: int) -> list[Packet]:
         """Send ``count`` back-to-back probe packets (used by PCP-style probing)."""
@@ -685,10 +606,7 @@ class RateBasedSender(SenderBase):
     # -- controller callbacks -------------------------------------------------
     def _on_packet_sent(self, record: SentPacketRecord) -> None:
         if hasattr(self.controller, "on_packet_sent"):
-            # The record's send time equals the event clock except under the
-            # hybrid backend's batched pacing, where it is the virtual send
-            # time the controller's MI accounting must see.
-            self.controller.on_packet_sent(record, record.sent_time)
+            self.controller.on_packet_sent(record, self.sim.now)
 
     def _on_ack(self, record, rtt_sample: float, newly_acked: bool) -> None:
         if record is None:

@@ -3,7 +3,7 @@
 :mod:`repro.netsim.queues` defines the :class:`QueueDiscipline` interface and
 the four disciplines the paper's figures exercise directly.  This module puts
 every discipline behind a :class:`~repro.registry.NameRegistry` — the same
-pluggable-by-JSON-name pattern schemes, topologies and engine backends use —
+pluggable-by-JSON-name pattern schemes, topologies and workloads use —
 so sweep cells, report specs and the CLIs select queueing behavior with a
 ``qdisc`` name plus declarative kwargs, and adds the canonical AQM baselines
 the reproduction's Figure 17 matrix extends to: RED (Floyd & Jacobson), PIE

@@ -20,7 +20,7 @@ from ..experiments.results import ResultSet
 from ..experiments.store import CellStore
 from ..experiments.sweep import run_cell
 from ..experiments.workload import DEFAULT_WORKLOAD
-from ..netsim import DEFAULT_BACKEND, DEFAULT_QDISC
+from ..netsim import DEFAULT_QDISC
 from .spec import (
     ClaimResult,
     GridRun,
@@ -28,7 +28,6 @@ from .spec import (
     ScenarioCell,
     get_report_spec,
     get_scenario_runner,
-    scenario_runner_simulates,
 )
 
 __all__ = ["SpecOutcome", "evaluate_claims", "run_report_spec"]
@@ -100,7 +99,6 @@ def run_report_spec(
     workers: int = 1,
     jsonl_path: Optional[str] = None,
     resume_from: Optional[str] = None,
-    backend: str = DEFAULT_BACKEND,
     profile: bool = False,
     executor: str = DEFAULT_EXECUTOR,
     store: Union[str, CellStore, None] = None,
@@ -121,10 +119,7 @@ def run_report_spec(
     are byte-identical for any ``workers`` value, any executor, and for
     resumed versus uninterrupted runs.
 
-    ``backend`` selects the engine backend every simulating cell runs under;
-    a non-default backend enters each such cell's identity (analytic theorem
-    cells never simulate and keep one identity across backends).  ``qdisc``
-    and ``workload`` likewise override the bottleneck queue discipline and
+    ``qdisc`` and ``workload`` override the bottleneck queue discipline and
     the flow-schedule generator of every *grid* cell — scenario cells fix
     their queueing/traffic as part of what they reproduce and are left
     untouched.  ``profile`` prints each cell's hottest functions to stderr
@@ -137,7 +132,7 @@ def run_report_spec(
         # A default qdisc/workload argument must not clobber a grid that
         # fixes its own non-default value (the FCT-vs-load spec pins a web
         # workload); only an explicit override replaces it.
-        overrides: Dict[str, Any] = {"backend": backend}
+        overrides: Dict[str, Any] = {}
         if qdisc != DEFAULT_QDISC:
             overrides["qdisc"] = qdisc
         if workload != DEFAULT_WORKLOAD:
@@ -151,16 +146,6 @@ def run_report_spec(
         run_one = run_cell
     else:
         cells = run.cells()
-        if backend != DEFAULT_BACKEND:
-            # The backend joins each simulating cell's kwargs — and therefore
-            # its identity — so hybrid results can never be confused with (or
-            # resumed into) an archived packet-backend stream.
-            cells = [
-                dataclasses.replace(
-                    cell, kwargs={**cell.kwargs, "backend": backend})
-                if scenario_runner_simulates(cell.runner) else cell
-                for cell in cells
-            ]
         run_one = _run_scenario_cell
     result = execute_cells(cells, run_one, run.base_seed, workers=workers,
                            jsonl_path=jsonl_path, resume_from=resume_from,

@@ -227,6 +227,14 @@ class TestDeterminism:
         )
 
 
+class TestProfileFlag:
+    def test_report_cli_profile_requires_serial(self, capsys):
+        with pytest.raises(SystemExit):
+            report_main(["--only", "theorems", "--report", "/dev/null",
+                         "--profile", "--workers", "2"])
+        assert "--workers 1" in capsys.readouterr().err
+
+
 class TestCli:
     def test_unknown_only_id_errors_listing_valid_ids(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

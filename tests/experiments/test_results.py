@@ -14,7 +14,6 @@ from repro.experiments.results import (
     RESULTSET_FORMAT,
     ResultSet,
     ResultSetWriter,
-    SweepResult,
     cell_identity_key,
 )
 from repro.experiments.sweep import SweepGrid, sweep
@@ -340,14 +339,6 @@ class TestSweepStreamingAndResume:
         fresh.write(str(path))
         resumed = sweep(tiny_grid(), base_seed=1, resume_from=str(path))
         assert resumed.to_json() == fresh.to_json()
-
-
-class TestSweepResultAlias:
-    def test_constructing_sweepresult_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="ResultSet"):
-            legacy = SweepResult(0, [_record(0)], [0.5])
-        assert legacy.goodput_mbps(scheme="cubic") == 4.0
-        assert isinstance(legacy, ResultSet)
 
 
 class TestIdentityKey:

@@ -705,3 +705,76 @@ class TestHelpListsRegistries:
             assert name in help_text
         for name in utility_names():
             assert name in help_text
+
+
+class TestProfileFlag:
+    def test_execute_cells_profile_requires_serial(self):
+        from repro.experiments.execute import execute_cells
+        with pytest.raises(ValueError, match="profile requires workers=1"):
+            execute_cells([], lambda cell: {}, base_seed=0, workers=2,
+                          profile=True)
+
+    def test_sweep_cli_profile_requires_serial(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--schemes", "cubic", "--duration", "1",
+                  "--profile", "--workers", "2"])
+        assert "--workers 1" in capsys.readouterr().err
+
+    def test_profile_prints_stats_to_stderr_not_stdout(self, tmp_path,
+                                                       capsys):
+        """The canonical JSON is byte-identical with and without --profile;
+        the cProfile tables go to stderr only."""
+        args = ["--schemes", "cubic", "--bandwidth-mbps", "5",
+                "--duration", "1"]
+        plain, profiled = tmp_path / "plain.json", tmp_path / "profiled.json"
+        assert main([*args, "--output", str(plain)]) == 0
+        captured = capsys.readouterr()
+        assert "cumulative" not in captured.err
+        assert main([*args, "--output", str(profiled), "--profile"]) == 0
+        captured = capsys.readouterr()
+        assert "profile: cell" in captured.err
+        assert "cumulative" in captured.err
+        assert "profile: cell" not in captured.out
+        assert plain.read_bytes() == profiled.read_bytes()
+
+
+class TestArchivedEngineBackendRecords:
+    def test_hybrid_records_are_never_reused(self, tmp_path):
+        """Archives written while the engine had a ``hybrid`` backend can
+        hold records whose cell identity and engine payload carry
+        ``"backend": "hybrid"``.  Such a record must never satisfy a cell of
+        today's single engine, from a resume stream or from the store, while
+        the default records next to it are reused as usual."""
+        import copy
+
+        from repro.experiments.results import ResultSetWriter
+        from repro.experiments.store import CellStore
+
+        grid = tiny_grid(schemes=("cubic",), bandwidths_bps=(5e6, 10e6),
+                         duration=1.0)
+        fresh = sweep(grid, base_seed=1)
+        records = json.loads(fresh.to_json())["cells"]
+        assert len(records) == 4
+
+        def as_hybrid(record):
+            hybrid = copy.deepcopy(record)
+            hybrid["cell"]["backend"] = "hybrid"
+            hybrid["engine"]["backend"] = "hybrid"
+            # A visibly different outcome, so any reuse would show.
+            for flow in hybrid["flows"]:
+                flow["goodput_mbps"] = -1.0
+            return hybrid
+
+        jsonl = tmp_path / "archived.jsonl"
+        with ResultSetWriter(str(jsonl), base_seed=1) as writer:
+            writer.write(records[0], wall_time_s=0.5)
+            writer.write(as_hybrid(records[1]), wall_time_s=0.5)
+        with CellStore(str(tmp_path / "store")) as store:
+            store.put(records[2], wall_time_s=0.5)
+            store.put(as_hybrid(records[3]), wall_time_s=0.5)
+
+        resumed = sweep(grid, base_seed=1, resume_from=str(jsonl),
+                        store=str(tmp_path / "store"))
+        assert resumed.reuse == {"cells": 4, "resume_hits": 1,
+                                 "store_hits": 1, "executed": 2}
+        assert resumed.to_json() == fresh.to_json()
